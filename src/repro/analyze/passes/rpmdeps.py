@@ -9,6 +9,7 @@ installer will run, executed before anything is deployed.
 from __future__ import annotations
 
 from ...errors import DependencyError, YumError
+from ...rpm.package import conflict_pairs
 from ...yum.depsolver import best_provider
 from ...yum.repository import Repository, RepoSet
 from ..diagnostic import Severity
@@ -97,19 +98,15 @@ def run(definition, emit) -> None:
             for n in graph.resolve_packages(profile)
             if n in by_name
         ]
-        declaring = [p for p in closure if p.conflicts]
         seen_pairs: set[tuple[str, str]] = set()
-        for pkg in declaring:
-            for other in closure:
-                if other.name == pkg.name or not pkg.conflicts_with(other):
-                    continue
-                pair = tuple(sorted((pkg.name, other.name)))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                emit(
-                    "RPM302",
-                    f"profile {profile!r} installs both {pkg.nevra} and "
-                    f"{other.nevra}, which conflict",
-                    location=f"rpm:profile/{profile}",
-                )
+        for pkg, other in conflict_pairs(closure):
+            pair = tuple(sorted((pkg.name, other.name)))
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            emit(
+                "RPM302",
+                f"profile {profile!r} installs both {pkg.nevra} and "
+                f"{other.nevra}, which conflict",
+                location=f"rpm:profile/{profile}",
+            )

@@ -33,6 +33,9 @@ __all__ = ["MpiWorld", "bytes_of"]
 
 #: payload size accounting: 8 bytes per float (MPI_DOUBLE convention)
 _DOUBLE = 8
+#: element types a list or tuple may hold to be sized as ``len * _DOUBLE``
+#: in one pass (each would take :func:`bytes_of`'s one-double fallback)
+_SCALARS = frozenset({float, int, bool})
 
 
 def bytes_of(data: object) -> int:
@@ -40,13 +43,16 @@ def bytes_of(data: object) -> int:
 
     Lists/tuples of numbers are counted as doubles; bytes/str by length;
     anything else as one double.  Deterministic and cheap — this feeds the
-    cost model, not a serialiser.
+    cost model, not a serialiser.  A flat list or tuple of Python numbers is
+    sized in one pass, without a call per element.
     """
     if isinstance(data, (bytes, bytearray)):
         return len(data)
     if isinstance(data, str):
         return len(data.encode())
     if isinstance(data, (list, tuple)):
+        if _SCALARS.issuperset(map(type, data)):
+            return _DOUBLE * len(data)
         return sum(bytes_of(x) for x in data)
     if hasattr(data, "nbytes"):  # numpy arrays
         return int(data.nbytes)  # type: ignore[attr-defined]

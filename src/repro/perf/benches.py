@@ -251,7 +251,7 @@ def bench_kansas_install(quick: bool = False) -> BenchResult:
     Quick mode forces ``wave_size=11`` so Marshall installs through the
     same wave-shared-plan path Kansas auto-selects.  The auto-select
     threshold (>32 nodes) would put Marshall on the node-at-a-time path,
-    whose per-node O(n²) validation is a *different* hot region — the
+    whose per-node validation is a *different* hot region — the
     quick floor was measuring setup cost, ~15x off the full bench's
     per-node rate, and a regression in the wave path could sail through
     the smoke gate."""

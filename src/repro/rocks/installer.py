@@ -633,7 +633,7 @@ def install_cluster(
     ``wave_size=None`` auto-selects: small sites install node-at-a-time
     (the classic insert-ethers cadence), campus-scale sites in waves of 32
     with a shared transaction plan per wave — same resulting cluster,
-    linear instead of quadratic validation cost.
+    one validation per wave instead of one per node.
     """
     if wave_size is None:
         wave_size = 32 if len(machine.compute_nodes) > 32 else 1

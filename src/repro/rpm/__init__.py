@@ -6,7 +6,15 @@ repository for installation or updates of RPMs" (Section 1).
 """
 
 from .database import RpmDatabase
-from .package import Capability, Flag, Package, Requirement, nevra
+from .package import (
+    Capability,
+    Flag,
+    Package,
+    Requirement,
+    conflict_pairs,
+    nevra,
+    provides_index,
+)
 from .specfile import build_spec, parse_spec
 from .transaction import Transaction, TransactionResult
 from .version import EVR, compare_evr, parse_evr, rpmvercmp
@@ -21,6 +29,8 @@ __all__ = [
     "Requirement",
     "Flag",
     "nevra",
+    "provides_index",
+    "conflict_pairs",
     "RpmDatabase",
     "Transaction",
     "TransactionResult",

@@ -26,7 +26,7 @@ from typing import Iterable
 from ..distro.host import Host
 from ..distro.modules_env import ModuleFile
 from ..errors import PackageNotFoundError, RpmError
-from .package import Capability, Package, Requirement
+from .package import Package, Requirement, provides_index
 
 __all__ = ["RpmDatabase"]
 
@@ -68,26 +68,20 @@ class RpmDatabase:
     def _ensure_index(self) -> None:
         if self._index_epoch == self._epoch:
             return
-        index: dict[str, list[Package]] = {}
-        for pkg in self._by_name.values():
-            for cap in pkg.all_provides():
-                index.setdefault(cap.name, []).append(pkg)
-        self._provides_index = index
+        self._provides_index = provides_index(self._by_name.values())
         self._index_epoch = self._epoch
 
     def _index_add(self, pkg: Package) -> None:
         """Fold one installed package into a current index (incremental)."""
-        for cap in pkg.all_provides():
-            self._provides_index.setdefault(cap.name, []).append(pkg)
+        for name in pkg.provide_names:
+            self._provides_index.setdefault(name, []).append(pkg)
 
     def _index_discard(self, pkg: Package) -> None:
         """Drop one erased package from a current index (incremental)."""
-        for cap in pkg.all_provides():
-            bucket = self._provides_index.get(cap.name)
+        for name in pkg.provide_names:
+            bucket = self._provides_index.get(name)
             if bucket is not None:
-                self._provides_index[cap.name] = [
-                    p for p in bucket if p is not pkg
-                ]
+                self._provides_index[name] = [p for p in bucket if p is not pkg]
 
     # -- queries ------------------------------------------------------------
 
@@ -195,12 +189,16 @@ class RpmDatabase:
         target = self._by_name.get(name)
         if target is None:
             return []
+        self._ensure_index()
         dependants = []
-        others = [p for p in self._by_name.values() if p.name != name]
-        for pkg in others:
+        for pkg in self._by_name.values():
+            if pkg.name == name:
+                continue
             for req in pkg.requires:
                 if target.satisfies(req) and not any(
-                    o.satisfies(req) for o in others if o.name != pkg.name
+                    o.satisfies(req)
+                    for o in self._provides_index.get(req.name, ())
+                    if o.name != name and o.name != pkg.name
                 ):
                     dependants.append(pkg)
                     break

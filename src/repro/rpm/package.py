@@ -17,13 +17,23 @@ Capability matching follows RPM:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterable
 
 from ..errors import RpmError
 from .version import EVR, parse_evr
 
-__all__ = ["Flag", "Capability", "Requirement", "Package", "nevra"]
+__all__ = [
+    "Flag",
+    "Capability",
+    "Requirement",
+    "Package",
+    "nevra",
+    "provides_index",
+    "conflict_pairs",
+]
 
 
 class Flag(str, Enum):
@@ -136,8 +146,11 @@ class Package:
             raise RpmError(f"package {self.name}: negative size")
 
     # -- identity ----------------------------------------------------------
+    #
+    # Memoised on the instance (the package is frozen): the install path
+    # reads nevra and evr hundreds of thousands of times per site build.
 
-    @property
+    @cached_property
     def evr(self) -> EVR:
         """The package's own epoch:version-release."""
         return EVR(self.epoch, self.version, self.release)
@@ -146,7 +159,7 @@ class Package:
     def evr_string(self) -> str:
         return str(self.evr)
 
-    @property
+    @cached_property
     def nevra(self) -> str:
         """Full ``name-[epoch:]version-release.arch`` identity."""
         e = f"{self.epoch}:" if self.epoch else ""
@@ -156,8 +169,16 @@ class Package:
 
     def all_provides(self) -> tuple[Capability, ...]:
         """Explicit provides plus the implicit self-provide."""
-        self_cap = Capability(self.name, str(self.evr))
-        return (self_cap,) + tuple(self.provides)
+        return self._all_provides
+
+    @cached_property
+    def _all_provides(self) -> tuple[Capability, ...]:
+        return (Capability(self.name, str(self.evr)),) + tuple(self.provides)
+
+    @cached_property
+    def provide_names(self) -> tuple[str, ...]:
+        """Distinct names of :meth:`all_provides`, self-provide first."""
+        return tuple(dict.fromkeys(cap.name for cap in self._all_provides))
 
     def satisfies(self, req: Requirement) -> bool:
         """True if this package satisfies ``req`` via any capability."""
@@ -199,3 +220,55 @@ class Package:
 def nevra(pkg: Package) -> str:
     """Free-function spelling of :attr:`Package.nevra` (sorting key helper)."""
     return pkg.nevra
+
+
+def provides_index(pkgs: Iterable[Package]) -> dict[str, list[Package]]:
+    """Capability name -> the packages of ``pkgs`` providing it.
+
+    Each bucket keeps input order and lists a package once, however many of
+    its capabilities share the name.  :meth:`Requirement.matches` is False
+    whenever the names differ, so ``index.get(req.name, ())`` holds every
+    package that can satisfy ``req``: a lookup plus :meth:`Package.satisfies`
+    on that bucket answers what a scan over all of ``pkgs`` would.
+    """
+    index: dict[str, list[Package]] = {}
+    for pkg in pkgs:
+        for name in pkg.provide_names:
+            index.setdefault(name, []).append(pkg)
+    return index
+
+
+def conflict_pairs(pkgs: Iterable[Package]) -> list[tuple[Package, Package]]:
+    """Every ``(declarer, other)`` pair of ``pkgs`` that conflicts.
+
+    ``declarer`` declares at least one conflict, ``other`` has a different
+    name and :meth:`Package.conflicts_with` holds.  Declarers come in input
+    order and each one's partners in input order, so a pair that conflicts
+    both ways appears once per side — the order of a loop over every
+    declarer and every package, without its quadratic cost: partners are
+    looked up by capability name in both directions.
+    """
+    pkgs = list(pkgs)
+    position = {id(p): i for i, p in enumerate(pkgs)}
+    provides = provides_index(pkgs)
+    declared: dict[str, list[Package]] = {}
+    for pkg in pkgs:
+        for name in dict.fromkeys(c.name for c in pkg.conflicts):
+            declared.setdefault(name, []).append(pkg)
+    pairs: list[tuple[Package, Package]] = []
+    for pkg in pkgs:
+        if not pkg.conflicts:
+            continue
+        partners = {
+            id(other): other
+            for cap in pkg.conflicts
+            for other in provides.get(cap.name, ())
+        }
+        for name in pkg.provide_names:
+            for other in declared.get(name, ()):
+                partners[id(other)] = other
+        for key in sorted(partners, key=position.__getitem__):
+            other = partners[key]
+            if other.name != pkg.name and pkg.conflicts_with(other):
+                pairs.append((pkg, other))
+    return pairs

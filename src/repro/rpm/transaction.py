@@ -33,6 +33,7 @@ recovery's job, not the corpse's.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..analyze.diagnostic import Diagnostic, Severity
@@ -46,7 +47,7 @@ from ..errors import (
 )
 from ..recovery.journal import Journal, JournalTxn, OpState
 from .database import RpmDatabase
-from .package import Package, Requirement
+from .package import Package, conflict_pairs, provides_index
 
 __all__ = [
     "Transaction",
@@ -61,11 +62,13 @@ class TransactionPlan:
     """A validated, ordered commit plan — shareable across identical hosts.
 
     Validation (:meth:`Transaction.check_diagnostics`) and install ordering
-    (:meth:`Transaction._install_order`) are both O(n²) in the package set
-    and depend only on the DB contents, the host architecture, and the
-    queued package set.  A uniform install wave kickstarts hundreds of
-    hosts whose transactions are byte-for-byte identical, so one plan is
-    computed and every other host commits through
+    (:meth:`Transaction._install_order`) look providers up in a
+    capability-name index (:func:`~repro.rpm.package.provides_index`), so
+    each is about linear in the package set.  Both depend only on the DB
+    contents, the host architecture, and the queued package set.  A
+    uniform install wave kickstarts hundreds of hosts whose transactions
+    are byte-for-byte identical, so validating once per wave still pays:
+    one plan is computed and every other host commits through
     :meth:`Transaction.commit_planned`, which verifies the match keys below
     and skips straight to execution.
     """
@@ -231,26 +234,24 @@ class Transaction:
                         f"erase+install or Transaction.upgrade",
                         f"transaction:install/{name}",
                     ))
-        final = self._final_set()
+        final = sorted(self._final_set().values(), key=lambda p: p.name)
         # Dependency closure of the final state.
-        for pkg in sorted(final.values(), key=lambda p: p.name):
+        provides = provides_index(final)
+        for pkg in final:
             for req in pkg.requires:
-                if not any(p.satisfies(req) for p in final.values()):
+                if not any(p.satisfies(req) for p in provides.get(req.name, ())):
                     problems.append(problem(
                         "TX705",
                         f"{pkg.nevra} requires {req} which nothing provides",
                         f"transaction:require/{pkg.name}",
                     ))
-        # Pairwise conflicts among final packages that declare any.
-        declaring = [p for p in final.values() if p.conflicts]
-        for pkg in sorted(declaring, key=lambda p: p.name):
-            for other in sorted(final.values(), key=lambda p: p.name):
-                if other.name != pkg.name and pkg.conflicts_with(other):
-                    problems.append(problem(
-                        "TX706",
-                        f"{pkg.nevra} conflicts with {other.nevra}",
-                        f"transaction:conflict/{pkg.name}",
-                    ))
+        # Conflicts among final packages, per declaring package.
+        for pkg, other in conflict_pairs(final):
+            problems.append(problem(
+                "TX706",
+                f"{pkg.nevra} conflicts with {other.nevra}",
+                f"transaction:conflict/{pkg.name}",
+            ))
         return problems
 
     def check(self) -> list[str]:
@@ -287,26 +288,26 @@ class Transaction:
         deterministic; any cycle remainder is co-installed in name order.
         """
         pkgs = self._installs
+        provides = provides_index(pkgs.values())
         dependants: dict[str, set[str]] = {n: set() for n in pkgs}
         indegree: dict[str, int] = {n: 0 for n in pkgs}
         for name, pkg in pkgs.items():
             for req in pkg.requires:
-                for provider_name, provider in pkgs.items():
-                    if provider_name != name and provider.satisfies(req):
-                        if name not in dependants[provider_name]:
-                            dependants[provider_name].add(name)
+                for provider in provides.get(req.name, ()):
+                    if provider.name != name and provider.satisfies(req):
+                        if name not in dependants[provider.name]:
+                            dependants[provider.name].add(name)
                             indegree[name] += 1
-        ready = sorted(n for n, d in indegree.items() if d == 0)
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
         order: list[Package] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(pkgs[current])
-            newly_ready = []
             for child in dependants[current]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    newly_ready.append(child)
-            ready = sorted(ready + newly_ready)
+                    heapq.heappush(ready, child)
         if len(order) < len(pkgs):
             # Cycle: co-install the remainder deterministically.
             remaining = sorted(set(pkgs) - {p.name for p in order})

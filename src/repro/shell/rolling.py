@@ -296,6 +296,15 @@ class RollingUpdate:
             dead = frozenset(self.tree.dead_hosts())
             unhealthy = NodeSet.from_names(n for n in ok if n in dead)
             ok = ok - unhealthy
+        # A node can crash after its command succeeded but before three
+        # missed heartbeats mark it dead; the scheduler has failed it already.
+        if self.scheduler is not None:
+            resources = self.scheduler.resources
+            crashed = NodeSet.from_names(
+                n for n in ok if n in self._sched_names and resources.is_failed(n)
+            )
+            unhealthy = unhealthy | crashed
+            ok = ok - crashed
         failed = report.failed_nodes() | unhealthy
 
         # Gate 4: undrain survivors; park failures offline, never draining.

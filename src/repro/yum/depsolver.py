@@ -33,7 +33,7 @@ publishes a newer EVR, or a db install/erase, must drop stale entries).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from ..errors import DependencyError, PackageNotFoundError
@@ -125,27 +125,30 @@ def _closure(
     """Compute the install closure of ``goals`` against ``db``."""
     resolution = Resolution()
     selected: dict[str, Package] = {}
-    queue: list[Package] = []
+    # provides index of ``selected``, kept in step by select()
+    provides: dict[str, list[Package]] = {}
+    queue: deque[Package] = deque()
 
     def select(pkg: Package) -> None:
         held = selected.get(pkg.name)
         if held is not None:
-            if held.nevra != pkg.nevra:
-                # Keep the newer of the two candidates.
-                if pkg.evr > held.evr:
-                    selected[pkg.name] = pkg
-                    queue.append(pkg)
-            return
+            # Keep the newer of two candidates; the loser stops providing.
+            if held.nevra == pkg.nevra or not pkg.evr > held.evr:
+                return
+            for name in held.provide_names:
+                provides[name] = [p for p in provides[name] if p is not held]
         selected[pkg.name] = pkg
+        for name in pkg.provide_names:
+            provides.setdefault(name, []).append(pkg)
         queue.append(pkg)
 
     for goal in goals:
         select(goal)
 
     while queue:
-        pkg = queue.pop(0)
+        pkg = queue.popleft()
         for req in pkg.requires:
-            if any(p.satisfies(req) for p in selected.values()):
+            if any(p.satisfies(req) for p in provides.get(req.name, ())):
                 continue
             if db.is_satisfied(req):
                 resolution.already_satisfied.append(req)

@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..errors import PackageNotFoundError, RepoPriorityError, YumError
-from ..rpm.package import Package, Requirement
+from ..rpm.package import Package, Requirement, provides_index
 
 __all__ = ["Repository", "RepoSet", "DEFAULT_PRIORITY"]
 
@@ -110,15 +110,12 @@ class Repository:
         """(Re)build the inverted capability maps iff the epoch moved."""
         if self._index_epoch == self.revision:
             return
-        provides: dict[str, list[Package]] = {}
+        published = [p for versions in self._packages.values() for p in versions]
         obsoletes: dict[str, list[Package]] = {}
-        for versions in self._packages.values():
-            for pkg in versions:
-                for cap in pkg.all_provides():
-                    provides.setdefault(cap.name, []).append(pkg)
-                for obs in pkg.obsoletes:
-                    obsoletes.setdefault(obs.name, []).append(pkg)
-        self._provides_index = provides
+        for pkg in published:
+            for obs in pkg.obsoletes:
+                obsoletes.setdefault(obs.name, []).append(pkg)
+        self._provides_index = provides_index(published)
         self._obsoletes_index = obsoletes
         self._index_epoch = self.revision
 

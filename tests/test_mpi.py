@@ -87,6 +87,51 @@ class TestPointToPoint:
 
         assert bytes_of(np.zeros(10)) == 80
 
+    @given(
+        st.recursive(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.integers(),
+                st.booleans(),
+                st.none(),
+                st.text(max_size=4),
+                st.binary(max_size=4),
+                st.builds(bytearray, st.binary(max_size=4)),
+                st.integers(0, 5).map(lambda n: _np().zeros(n)),
+                st.integers(0, 5).map(lambda n: _np().int32(n)),
+            ),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=6),
+                st.lists(inner, max_size=6).map(tuple),
+            ),
+            max_leaves=24,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_of_matches_recursive_definition(self, payload):
+        """Flat numeric lists take a one-pass path; every payload, nested,
+        mixed or carrying ``nbytes``, still sizes as the recursive rule."""
+        assert bytes_of(payload) == _recursive_bytes_of(payload)
+
+
+def _np():
+    import numpy as np
+
+    return np
+
+
+def _recursive_bytes_of(data):
+    """``bytes_of`` as first defined: one call per element."""
+    if isinstance(data, (bytes, bytearray)):
+        return len(data)
+    if isinstance(data, str):
+        return len(data.encode())
+    if isinstance(data, (list, tuple)):
+        return sum(_recursive_bytes_of(x) for x in data)
+    if hasattr(data, "nbytes"):
+        return int(data.nbytes)
+    return 8
+
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 12])
 class TestCollectivesAllSizes:

@@ -537,6 +537,47 @@ class TestRollingUpdate:
         assert resources.is_offline("compute-0-2")
         assert not resources.is_draining("compute-0-2")
 
+    def test_crash_inside_verify_window_is_parked(self):
+        """A node that crashes after its command succeeded, but before three
+        missed heartbeats can mark it dead, is failed by the scheduler.  The
+        sweep parks it like any other failure instead of undraining it."""
+        fleet = build_fleet(racks=1, per_rack=4)
+        kernel = SimKernel(seed=9)
+        resources = ClusterResources.from_fleet(fleet)
+        scheduler = TorqueScheduler(resources, kernel=kernel)
+        tree = GmetadTree("t", kernel=kernel, poll_period_s=15.0)
+        tree.add_rack(FleetRack("rack0", fleet, fleet.ordered_indices(),
+                                dead_after_misses=3))
+
+        def update_then_crash(node):
+            if node == "compute-0-1":
+                kernel.at(
+                    kernel.now_s + 20.0,
+                    lambda: scheduler.crash_node(node),
+                    label="crash",
+                )
+            return 0, "updated"
+
+        update = RollingUpdate(
+            ShellEngine(fleet, kernel=kernel), scheduler=scheduler, tree=tree,
+            wave_size=4, fanout=4, health_cycles=3,
+        )
+        report = update.run(
+            fleet.nodeset(), ShellCommand("yum -y update", handler=update_then_crash)
+        )
+        assert report.state == "succeeded"
+        wave = report.waves[0]
+        assert resources.is_failed("compute-0-1")
+        assert "compute-0-1" not in frozenset(tree.dead_hosts())
+        assert str(wave.failed) == "compute-0-1"
+        assert str(wave.ok) == "compute-0-[0,2-3]"
+        assert wave.status == "degraded"
+        assert resources.is_offline("compute-0-1")
+        assert resources.draining_nodes() == []
+        assert rolling_confluence_problems(
+            kernel.trace.events, resources=resources
+        ) == []
+
     def test_validation(self):
         fleet = build_fleet(racks=1, per_rack=2)
         engine = engine_for(fleet)
